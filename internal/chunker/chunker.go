@@ -19,6 +19,8 @@ package chunker
 import (
 	"errors"
 	"io"
+
+	"repro/internal/bufpool"
 )
 
 // Default chunking parameters, matching common backup-dedup practice
@@ -30,11 +32,15 @@ const (
 )
 
 // Chunker produces successive chunk byte-slices from a stream. The returned
-// slice is only valid until the next call to Next.
+// slice is only valid until the next call to Next or Release.
 type Chunker interface {
 	// Next returns the next chunk. It returns io.EOF when the stream is
 	// exhausted (with a nil chunk).
 	Next() ([]byte, error)
+	// Release hands the chunker's read window back to the process-wide
+	// buffer pool; later calls to Next return io.EOF. A chunker that is
+	// never released just leaves its window to the garbage collector.
+	Release()
 }
 
 // Params configures a content-defined chunker.
@@ -63,7 +69,9 @@ func (p Params) Validate() error {
 }
 
 // buffered is the shared reader machinery: it keeps a sliding window buffer
-// over the input so chunk slices can be handed out without copying.
+// over the input so chunk slices can be handed out without copying. The
+// window comes from the process-wide bufpool, so back-to-back backups reuse
+// one window instead of allocating a fresh one per stream.
 type buffered struct {
 	r    io.Reader
 	buf  []byte
@@ -77,7 +85,15 @@ func newBuffered(r io.Reader, bufSize int) *buffered {
 	if bufSize < 1 {
 		bufSize = 1
 	}
-	return &buffered{r: r, buf: make([]byte, bufSize)}
+	return &buffered{r: r, buf: bufpool.Get(bufSize)}
+}
+
+// release returns the window to bufpool and leaves the reader exhausted.
+func (b *buffered) release() {
+	if b.buf != nil {
+		bufpool.Put(b.buf)
+	}
+	*b = buffered{done: true}
 }
 
 // fill ensures at least want unconsumed bytes are buffered, or the stream is

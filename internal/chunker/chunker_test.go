@@ -258,6 +258,43 @@ func TestDeterminism(t *testing.T) {
 	})
 }
 
+// TestReleaseRecyclesWindow releases a chunker mid-stream and chunks a
+// second stream on what is likely the same recycled window: the released
+// chunker reports EOF, and the stale bytes left in the window never leak
+// into the second stream's chunks.
+func TestReleaseRecyclesWindow(t *testing.T) {
+	first := randBytes(t, 1<<20, 22)
+	second := randBytes(t, 300<<10, 23)
+	eachKind(t, func(t *testing.T, k Kind) {
+		fresh, _ := New(k, bytes.NewReader(second), DefaultParams())
+		want := collect(t, fresh)
+
+		c, _ := New(k, bytes.NewReader(first), DefaultParams())
+		for i := 0; i < 10; i++ {
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Release()
+		if _, err := c.Next(); err != io.EOF {
+			t.Fatalf("Next after Release = %v, want io.EOF", err)
+		}
+		c.Release() // idempotent
+
+		reused, _ := New(k, bytes.NewReader(second), DefaultParams())
+		got := collect(t, reused)
+		reused.Release()
+		if len(got) != len(want) {
+			t.Fatalf("chunk counts differ on a recycled window: %d vs %d", len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("chunk %d differs on a recycled window", i)
+			}
+		}
+	})
+}
+
 // TestBoundaryIndependence verifies chunk boundaries after a cut point do
 // not depend on data before it (the localized-boundary property): chunking
 // the suffix starting at a boundary yields the same chunks.

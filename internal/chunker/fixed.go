@@ -31,6 +31,9 @@ func (f *Fixed) Next() ([]byte, error) {
 	return f.b.take(min(avail, f.size)), nil
 }
 
+// Release implements Chunker.
+func (f *Fixed) Release() { f.b.release() }
+
 // Kind selects a chunker implementation by name.
 type Kind int
 

@@ -95,6 +95,9 @@ func (g *Gear) Next() ([]byte, error) {
 	return g.b.take(cut), nil
 }
 
+// Release implements Chunker.
+func (g *Gear) Release() { g.b.release() }
+
 // cutpoint finds the content-defined boundary in data (len > Min). It is the
 // hot loop of the ingest path; boundaries are pinned bit-identical to
 // cutpointRef by TestGearCutpointMatchesReference and the golden fixture.

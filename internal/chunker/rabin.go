@@ -91,6 +91,9 @@ func (c *Rabin) Next() ([]byte, error) {
 	return c.b.take(cut), nil
 }
 
+// Release implements Chunker.
+func (c *Rabin) Release() { c.b.release() }
+
 func (c *Rabin) cutpoint(data []byte) int {
 	deg := polyDegree(rabinPoly)
 	n := len(data)

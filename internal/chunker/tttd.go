@@ -59,6 +59,9 @@ func (c *TTTD) Next() ([]byte, error) {
 	return c.b.take(cut), nil
 }
 
+// Release implements Chunker.
+func (c *TTTD) Release() { c.b.release() }
+
 func (c *TTTD) cutpoint(data []byte) int {
 	var h uint64
 	n := len(data)

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunk"
 	"repro/internal/chunker"
 	"repro/internal/container"
@@ -191,23 +192,27 @@ func Pipeline(
 	if w := cost.effectiveWorkers(); w > 1 {
 		return ParallelPipeline(ctx, r, kind, cp, sp, clock, cost, keepData, w, process)
 	}
-	ck, err := chunker.New(kind, r, cp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	sg, err := segment.New(sp)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	ck, err := chunker.New(kind, r, cp)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer ck.Release()
 	// Segment-lifetime arena for chunk bytes: chunks alias this buffer until
 	// the segment holding them is processed, then the whole buffer is reused.
 	// One copy per chunk (chunker window → arena), zero steady-state
 	// allocations; capacity covers the largest possible segment (the
 	// segmenter force-emits at MaxBytes, so a segment never exceeds
-	// MaxBytes-1 plus one maximum-size chunk).
+	// MaxBytes-1 plus one maximum-size chunk). The arena comes from the
+	// process-wide bufpool and goes back on return, when no process call is
+	// left running that could still read it.
 	var arena []byte
 	if keepData {
-		arena = make([]byte, 0, int(sp.MaxBytes)+cp.Max)
+		arena = bufpool.Get(int(sp.MaxBytes) + cp.Max)[:0]
+		defer func() { bufpool.Put(arena) }()
 	}
 	emit := func(seg *segment.Segment) error {
 		if seg == nil {

@@ -18,6 +18,46 @@ import (
 // be set before a pipeline starts and cleared after it finishes.
 var hashFaultHook func(chunk.Chunk) error
 
+// batchChunks caps the number of chunks hashed per job: SHA-256 of an 8 KiB
+// chunk is far cheaper than a channel round trip, so per-chunk handoff would
+// make the pool slower than the serial loop.
+const batchChunks = 64
+
+// jobBytes is the fixed capacity of a job's chunk buffer: a batch of
+// target-size chunks plus one maximum-size chunk. The producer cuts a batch
+// early rather than grow the buffer, so a recycled job never reallocates.
+func jobBytes(cp chunker.Params) int { return batchChunks*cp.Target + cp.Max }
+
+// job is one batch of chunks on its way through the hash workers.
+type job struct {
+	data []byte // concatenated chunk bytes, capacity jobBytes
+	ends []int  // end offset of each chunk within data
+	res  []chunk.Chunk
+	err  error // injected worker fault (hashFaultHook)
+	out  chan []chunk.Chunk
+}
+
+// jobPool recycles jobs (chunk bytes, end offsets, result slices, handoff
+// channels) across every ParallelPipeline call in the process: a backup
+// reuses the buffers the previous one retired instead of growing its own,
+// so live job memory follows the batches in flight. A job goes back to the
+// pool only once nothing can read it: its result has been received from
+// out, and with keepData every chunk aliasing data has passed through a
+// processed segment.
+var jobPool = sync.Pool{New: func() any { return &job{out: make(chan []chunk.Chunk, 1)} }}
+
+// getJob takes an empty job with a size-byte chunk buffer from jobPool.
+func getJob(size int) *job {
+	j := jobPool.Get().(*job)
+	if cap(j.data) != size {
+		j.data = make([]byte, 0, size)
+	}
+	j.data = j.data[:0]
+	j.ends = j.ends[:0]
+	j.err = nil
+	return j
+}
+
 // ParallelPipeline is Pipeline with the fingerprinting stage fanned out
 // across worker goroutines (the P-Dedupe idea the paper's venue literature
 // describes: chunking is sequential by nature, hashing is embarrassingly
@@ -36,9 +76,11 @@ var hashFaultHook func(chunk.Chunk) error
 // same input.
 //
 // Chunk bytes flow zero-copy end to end: the producer copies each chunk
-// once from the chunker window into a pooled job buffer, workers and the
-// segment path alias that buffer, and the job is recycled once every chunk
-// in it has passed through a processed segment.
+// once from the chunker window into a job buffer, workers and the segment
+// path alias that buffer, and the job is recycled once every chunk in it
+// has passed through a processed segment. Jobs and the chunker window come
+// from process-wide pools, so once the pools are warm neither a batch nor a
+// whole backup allocates fresh ingest buffers.
 func ParallelPipeline(
 	ctx context.Context,
 	r io.Reader,
@@ -64,34 +106,19 @@ func ParallelPipeline(
 	}
 	cost.Workers = 1 // the charge below is already per-chunk; avoid re-dispatch
 
-	ck, err := chunker.New(kind, r, cp)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	sg, err := segment.New(sp)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-
-	// Chunks are hashed in batches: SHA-256 of an 8 KiB chunk is far
-	// cheaper than a channel round trip, so per-chunk handoff would make
-	// the pool slower than the serial loop.
-	const batchChunks = 64
-	type job struct {
-		data []byte // concatenated chunk bytes
-		ends []int  // end offset of each chunk within data
-		res  []chunk.Chunk
-		err  error // injected worker fault (hashFaultHook)
-		out  chan []chunk.Chunk
+	ck, err := chunker.New(kind, r, cp)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	// Job buffers (chunk bytes, end offsets, result slices, handoff
-	// channels) are recycled through a pool: steady-state ingest allocates
-	// no per-batch buffers, which matters once several streams run this
-	// pipeline at once. Without keepData a job recycles as soon as the
-	// consumer drains it; with keepData the emitted chunks alias job.data,
-	// so drained jobs park on a retire list until the next processed
-	// segment proves every chunk added so far has been consumed.
-	pool := sync.Pool{New: func() any { return &job{out: make(chan []chunk.Chunk, 1)} }}
+	// The producer is the chunker's only reader, and every return below
+	// waits for the workers, which exit only after the producer has closed
+	// jobs — so the window is idle by the time it is released.
+	defer ck.Release()
+
 	// Bounded queue: the chunker stays ahead of the hashers without
 	// buffering the whole stream.
 	jobs := make(chan *job, workers*2)
@@ -133,24 +160,25 @@ func ParallelPipeline(
 	}
 
 	var chunkErr error
-	getJob := func() *job {
-		j := pool.Get().(*job)
-		j.data = j.data[:0]
-		j.ends = j.ends[:0]
-		j.err = nil
-		return j
-	}
 	go func() {
 		defer close(jobs)
 		defer close(pending)
-		cur := getJob()
+		// cur is the batch being filled, taken from the pool when its first
+		// chunk arrives; a batch the producer never sends goes straight back.
+		var cur *job
+		defer func() {
+			if cur != nil {
+				jobPool.Put(cur)
+			}
+		}()
+		size := jobBytes(cp)
 		flush := func() {
-			if len(cur.ends) == 0 {
+			if cur == nil {
 				return
 			}
 			pending <- cur
 			jobs <- cur
-			cur = getJob()
+			cur = nil
 		}
 		for {
 			select {
@@ -175,6 +203,12 @@ func ParallelPipeline(
 				return
 			}
 			// The chunker reuses its window; the job owns the single copy.
+			if cur != nil && len(cur.data)+len(raw) > cap(cur.data) {
+				flush()
+			}
+			if cur == nil {
+				cur = getJob(size)
+			}
 			cur.data = append(cur.data, raw...)
 			cur.ends = append(cur.ends, len(cur.data))
 			if len(cur.ends) >= batchChunks {
@@ -183,7 +217,21 @@ func ParallelPipeline(
 		}
 	}()
 
+	// Without keepData a job recycles as soon as the consumer drains it;
+	// with keepData the emitted chunks alias job.data, so drained jobs park
+	// on a retire list until the next processed segment proves every chunk
+	// added so far has been consumed.
 	var retired []*job
+	recycle := func() {
+		for _, rj := range retired {
+			jobPool.Put(rj)
+		}
+		retired = retired[:0]
+	}
+	// Every return below comes after the workers have exited and no process
+	// call is running, so jobs still parked (the segment holding their
+	// chunks failed, or will never be emitted) are dead too.
+	defer recycle()
 	emit := func(seg *segment.Segment) error {
 		if seg == nil {
 			return nil
@@ -198,19 +246,19 @@ func ParallelPipeline(
 		}
 		// The processed segment contained every chunk added since the last
 		// emit, so all drained jobs' bytes are dead — recycle them.
-		for _, rj := range retired {
-			pool.Put(rj)
-		}
-		retired = retired[:0]
+		recycle()
 		return nil
 	}
 	abort := func(err error) (int64, int64, int64, error) {
 		// Stop the producer, then drain it so all goroutines exit before
 		// returning (no leaks even when the stream is far from EOF).
+		// Drained jobs go back to the pool once their result is received:
+		// the worker is done with them and no segment holds their chunks.
 		close(stop)
 		go func() {
 			for j := range pending {
 				<-j.out
+				jobPool.Put(j)
 			}
 		}()
 		wg.Wait()
@@ -233,7 +281,7 @@ func ParallelPipeline(
 			}
 		}
 		if !keepData {
-			pool.Put(j)
+			jobPool.Put(j)
 		} else {
 			retired = append(retired, j)
 		}

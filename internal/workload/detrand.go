@@ -100,30 +100,45 @@ func quarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
 }
 
 // chachaBlock produces keystream block counter into out: the original
-// ChaCha20 block function with a 64-bit counter and zero nonce.
+// ChaCha20 block function with a 64-bit counter and zero nonce. The state
+// lives in sixteen locals rather than an array so the rounds stay in
+// registers.
 func chachaBlock(key *[8]uint32, counter uint64, out *[64]byte) {
-	var s [16]uint32
-	s[0], s[1], s[2], s[3] = 0x61707865, 0x3320646e, 0x79622d32, 0x6b206574
-	copy(s[4:12], key[:])
-	s[12] = uint32(counter)
-	s[13] = uint32(counter >> 32)
-	// s[14], s[15]: zero nonce.
-	x := s
+	const c0, c1, c2, c3 = 0x61707865, 0x3320646e, 0x79622d32, 0x6b206574
+	n0, n1 := uint32(counter), uint32(counter>>32)
+	x0, x1, x2, x3 := uint32(c0), uint32(c1), uint32(c2), uint32(c3)
+	x4, x5, x6, x7 := key[0], key[1], key[2], key[3]
+	x8, x9, x10, x11 := key[4], key[5], key[6], key[7]
+	x12, x13, x14, x15 := n0, n1, uint32(0), uint32(0) // zero nonce
 	for i := 0; i < 10; i++ {
 		// Column rounds.
-		x[0], x[4], x[8], x[12] = quarterRound(x[0], x[4], x[8], x[12])
-		x[1], x[5], x[9], x[13] = quarterRound(x[1], x[5], x[9], x[13])
-		x[2], x[6], x[10], x[14] = quarterRound(x[2], x[6], x[10], x[14])
-		x[3], x[7], x[11], x[15] = quarterRound(x[3], x[7], x[11], x[15])
+		x0, x4, x8, x12 = quarterRound(x0, x4, x8, x12)
+		x1, x5, x9, x13 = quarterRound(x1, x5, x9, x13)
+		x2, x6, x10, x14 = quarterRound(x2, x6, x10, x14)
+		x3, x7, x11, x15 = quarterRound(x3, x7, x11, x15)
 		// Diagonal rounds.
-		x[0], x[5], x[10], x[15] = quarterRound(x[0], x[5], x[10], x[15])
-		x[1], x[6], x[11], x[12] = quarterRound(x[1], x[6], x[11], x[12])
-		x[2], x[7], x[8], x[13] = quarterRound(x[2], x[7], x[8], x[13])
-		x[3], x[4], x[9], x[14] = quarterRound(x[3], x[4], x[9], x[14])
+		x0, x5, x10, x15 = quarterRound(x0, x5, x10, x15)
+		x1, x6, x11, x12 = quarterRound(x1, x6, x11, x12)
+		x2, x7, x8, x13 = quarterRound(x2, x7, x8, x13)
+		x3, x4, x9, x14 = quarterRound(x3, x4, x9, x14)
 	}
-	for i := range x {
-		binary.LittleEndian.PutUint32(out[i*4:], x[i]+s[i])
-	}
+	le := binary.LittleEndian
+	le.PutUint32(out[0:], x0+c0)
+	le.PutUint32(out[4:], x1+c1)
+	le.PutUint32(out[8:], x2+c2)
+	le.PutUint32(out[12:], x3+c3)
+	le.PutUint32(out[16:], x4+key[0])
+	le.PutUint32(out[20:], x5+key[1])
+	le.PutUint32(out[24:], x6+key[2])
+	le.PutUint32(out[28:], x7+key[3])
+	le.PutUint32(out[32:], x8+key[4])
+	le.PutUint32(out[36:], x9+key[5])
+	le.PutUint32(out[40:], x10+key[6])
+	le.PutUint32(out[44:], x11+key[7])
+	le.PutUint32(out[48:], x12+n0)
+	le.PutUint32(out[52:], x13+n1)
+	le.PutUint32(out[56:], x14)
+	le.PutUint32(out[60:], x15)
 }
 
 // detFile is one logical file of a scenario stream: a stable header identity

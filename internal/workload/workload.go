@@ -19,6 +19,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -418,13 +419,22 @@ func (r *streamReader) startExtent() {
 }
 
 // genBytes writes len(p) deterministic bytes for the current position.
+// Byte k of each generator word is byte k of its state, little-endian, so
+// whole words are written eight bytes at a time.
 func (r *streamReader) genBytes(p []byte) {
-	for i := range p {
+	for len(p) > 0 {
 		if r.phase == 8 {
 			r.state = xorshiftNext(r.state)
 			r.phase = 0
+			if len(p) >= 8 {
+				binary.LittleEndian.PutUint64(p, r.state)
+				p = p[8:]
+				r.phase = 8
+				continue
+			}
 		}
-		p[i] = byte(r.state >> (8 * uint(r.phase)))
+		p[0] = byte(r.state >> (8 * uint(r.phase)))
+		p = p[1:]
 		r.phase++
 	}
 }

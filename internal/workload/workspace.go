@@ -128,11 +128,12 @@ type wsTree struct {
 // Next() streams one tenant's full workspace tree at its current state,
 // mutating the tenant's workspaces first on rounds after the initial one.
 type Workspace struct {
-	cfg     WorkspaceConfig
-	tenants [][]wsTree
-	rounds  []int // per-tenant round counter
-	next    int
-	count   int
+	cfg      WorkspaceConfig
+	tenants  [][]wsTree
+	rounds   []int   // per-tenant round counter
+	pkgSizes []int64 // pkgSize of every registry package, drawn once
+	next     int
+	count    int
 }
 
 // NewWorkspace builds the schedule. Workspace w of tenant t is derived from
@@ -143,7 +144,12 @@ func NewWorkspace(cfg WorkspaceConfig) (*Workspace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ws := &Workspace{cfg: cfg, rounds: make([]int, cfg.Tenants)}
+	ws := &Workspace{cfg: cfg, rounds: make([]int, cfg.Tenants), pkgSizes: make([]int64, cfg.PackagePool)}
+	// A size depends on the package alone, not its version; drawing each
+	// once spares every upload a freshly seeded source per dependency.
+	for p := range ws.pkgSizes {
+		ws.pkgSizes[p] = pkgSize(cfg.Seed, p, cfg.MeanPackageSize)
+	}
 	for t := 0; t < cfg.Tenants; t++ {
 		trees := make([]wsTree, cfg.WorkspacesPerTenant)
 		for w := range trees {
@@ -212,7 +218,7 @@ func (s *Workspace) files(t int) []detFile {
 			out = append(out, detFile{
 				id:   pkgID(d.pkg, d.version),
 				seed: pkgSeed(cfg.Seed, d.pkg, d.version),
-				size: pkgSize(cfg.Seed, d.pkg, cfg.MeanPackageSize),
+				size: s.pkgSizes[d.pkg],
 			})
 		}
 		for i, f := range tree.src {

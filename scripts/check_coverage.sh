@@ -16,6 +16,7 @@ declare -A floors=(
   [repro/internal/archive]=70
   [repro/internal/blockstore]=60
   [repro/internal/bloom]=90
+  [repro/internal/bufpool]=90
   [repro/internal/chunk]=95
   [repro/internal/chunker]=85
   [repro/internal/cindex]=75
