@@ -11,9 +11,11 @@
 //   - LookupBatch groups a whole segment's fingerprints by bucket first, so
 //     every chunk that hashes to the same bucket page is served by a single
 //     modeled page read instead of one per chunk.
-//   - Insert/Update are write-buffered and flushed in large sequential
-//     batches (one seek + batched transfer), matching the log-plus-merge
-//     write path of production dedup indexes.
+//   - Insert/Update are write-buffered per shard and written back in one
+//     sequential batch (one seek + batched transfer) when a shard's buffer
+//     reaches FlushBatch, matching the log-plus-merge write path of
+//     production dedup indexes. Buffers carry over from one backup to the
+//     next; a small backup pays no write-back of its own.
 //
 // The authoritative fingerprint→location mapping is kept in RAM as
 // simulation shadow state; the device traffic exists purely to account time.
@@ -414,13 +416,11 @@ func (ix *Index) Delete(fp chunk.Fingerprint) bool {
 	return ok
 }
 
-// Flush forces the pending write-back on every shard (end of stream).
-func (ix *Index) Flush() { ix.flushAll(ix.dev) }
-
-// Flush is Index.Flush charged to the handle's clock.
-func (h Handle) Flush() { h.ix.flushAll(h.dev) }
-
-func (ix *Index) flushAll(dev *disk.Device) {
+// Flush forces the pending write-back on every shard. Backups do not call
+// it: the RAM map is authoritative and the index is rebuilt from container
+// metadata on reopen, so a backup's inserts ride in the shard buffers until
+// one fills. Maintenance and GC flush after repointing moved chunks.
+func (ix *Index) Flush() {
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.Lock()
@@ -428,7 +428,7 @@ func (ix *Index) flushAll(dev *disk.Device) {
 		sh.pending = 0
 		sh.mu.Unlock()
 		if n > 0 {
-			ix.chargeFlush(dev, n)
+			ix.chargeFlush(ix.dev, n)
 		}
 	}
 }

@@ -176,6 +176,39 @@ func TestFlushBatching(t *testing.T) {
 	}
 }
 
+// TestInsertsBatchAcrossHandles models several small backups, each
+// inserting through its own Handle (stream clock): inserts below FlushBatch
+// charge no write-back to anyone, however many handles they arrive through,
+// and the insert that fills the shard's buffer writes the whole batch back
+// once, charged to the handle that made it.
+func TestInsertsBatchAcrossHandles(t *testing.T) {
+	ix, _ := newTestIndex(t, smallCfg()) // FlushBatch 16, per shard
+	fps := fpsInBucket(ix, 0, 16)
+	clks := make([]disk.Clock, 4)
+	written := ix.dev.Stats().BytesWritten
+	for i, fp := range fps[:15] {
+		ix.Handle(&clks[i%3]).Insert(fp, chunk.Location{Size: 1})
+	}
+	for i := range clks {
+		if clks[i].Now() != 0 {
+			t.Fatalf("handle %d charged %v before any shard buffer filled", i, clks[i].Now())
+		}
+	}
+	if ix.Stats().Flushes != 0 || ix.dev.Stats().BytesWritten != written {
+		t.Fatalf("no write-back expected below FlushBatch: %+v", ix.Stats())
+	}
+	ix.Handle(&clks[3]).Insert(fps[15], chunk.Location{Size: 1})
+	if ix.Stats().Flushes != 1 {
+		t.Fatalf("Flushes = %d, want exactly one batched write-back", ix.Stats().Flushes)
+	}
+	if got := ix.dev.Stats().BytesWritten - written; got != 16*entrySize {
+		t.Fatalf("write-back wrote %d bytes, want %d", got, 16*entrySize)
+	}
+	if clks[3].Now() == 0 || clks[0].Now() != 0 || clks[1].Now() != 0 || clks[2].Now() != 0 {
+		t.Fatal("the write-back must be charged to the handle whose insert filled the buffer")
+	}
+}
+
 func TestLookupBatchChargesOncePerUncachedBucket(t *testing.T) {
 	ix, clk := newTestIndex(t, smallCfg())
 	// Build a batch over exactly three distinct buckets with repeats

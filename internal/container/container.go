@@ -27,6 +27,9 @@
 //
 //   - SerialWriter appends containers at the device frontier, one at a time
 //     — the classic single-stream layout; Store.Write/Flush delegate to it.
+//     If a reserve-mode writer opens a container while the serial one is
+//     open, it reserves past the serial container's full extent, and the
+//     serial container then seals in place instead of appending.
 //   - NewWriter(clk) is a per-stream writer for concurrent ingest: each
 //     stream keeps its own open container inside a pre-reserved fixed-size
 //     extent (allocated under the store mutex), assigns chunk offsets
@@ -152,6 +155,15 @@ type Store struct {
 
 	serialW *Writer // lazily created legacy writer behind Store.Write/Flush
 
+	// frontierOpen is set while the serial writer has a container open at
+	// frontierStart. That container claims no device space until it seals,
+	// so a reserve-mode writer opening meanwhile first fences off its full
+	// MetaCap+DataCap extent (frontierFenced) and reserves past it; the
+	// serial writer then seals in place, like a reserve-mode writer.
+	frontierOpen   bool
+	frontierFenced bool
+	frontierStart  int64
+
 	// dcache, when non-nil, is the shared sealed-container data cache every
 	// byte fetch routes through (see datacache.go). Guarded by dcMu so a
 	// budget change can swap it while restores are in flight.
@@ -229,16 +241,72 @@ func (s *Store) Slots() int {
 	return len(s.sealed)
 }
 
-// allocID reserves the next dense container ID with a placeholder directory
-// slot; seal fills it in when the container flushes.
-func (s *Store) allocID() uint32 {
+// openExtent allocates the next dense container ID, with a placeholder
+// directory slot that seal fills in, and the container's device start. A
+// frontier-mode container starts at the device frontier and claims its
+// space when it seals; a reserve-mode container claims a full
+// MetaCap+DataCap extent now, past any open frontier container's extent.
+func (s *Store) openExtent(reserve bool) (id uint32, start int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := uint32(len(s.sealed))
+	extent := s.cfg.MetaCap() + s.cfg.DataCap
+	if !reserve {
+		s.frontierOpen, s.frontierFenced = true, false
+		s.frontierStart = s.dev.Size()
+		start = s.frontierStart
+	} else {
+		if s.frontierOpen && !s.frontierFenced {
+			if got := s.dev.ReserveExtent(extent); got != s.frontierStart {
+				panic(fmt.Sprintf("container: device frontier %d moved past open container start %d", got, s.frontierStart))
+			}
+			s.frontierFenced = true
+		}
+		start = s.dev.ReserveExtent(extent)
+	}
+	id = uint32(len(s.sealed))
 	s.sealed = append(s.sealed, Info{ID: id})
 	s.sealedOK = append(s.sealedOK, false)
 	s.liveBytes = append(s.liveBytes, 0)
-	return id
+	return id, start
+}
+
+// sealFrontier charges the serial writer's seal of its open container
+// (start, fill data bytes) and returns the container's extent end. Unless a
+// reserve-mode writer fenced the extent off, the container is appended at
+// the device frontier with its data section trimmed to fill; the store
+// mutex keeps reservations out until the append is done.
+func (s *Store) sealFrontier(start, fill int64) (end int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fenced := s.frontierFenced
+	s.frontierOpen, s.frontierFenced = false, false
+	if fenced {
+		return s.sealInPlace(s.dev, start, fill)
+	}
+	if got := s.dev.Size(); got != start {
+		panic(fmt.Sprintf("container: device frontier %d moved past container start %d (foreign writer?)", got, start))
+	}
+	// Metadata section, padded to fixed capacity so data offsets hold.
+	s.dev.AppendHole(s.cfg.MetaCap())
+	s.dev.AppendHole(fill)
+	return start + s.cfg.MetaCap() + fill
+}
+
+// sealInPlace charges dev for sealing a container inside its reserved
+// extent at start: metadata section padded to fixed capacity, then fill
+// data bytes, one contiguous write run. It returns the extent end.
+func (s *Store) sealInPlace(dev *disk.Device, start, fill int64) (end int64) {
+	dev.AccountWrite(start, s.cfg.MetaCap())
+	dev.AccountWrite(start+s.cfg.MetaCap(), fill)
+	return start + s.cfg.MetaCap() + s.cfg.DataCap
+}
+
+// closeFrontier forgets the serial writer's open container without sealing
+// it (an abandoned container: its ID stays an unsealed hole).
+func (s *Store) closeFrontier() {
+	s.mu.Lock()
+	s.frontierOpen, s.frontierFenced = false, false
+	s.mu.Unlock()
 }
 
 // sealResult is the outcome of one background backend persist; data rides
@@ -521,15 +589,10 @@ func (s *Store) NewWriter(clk *disk.Clock) *Writer {
 	return &Writer{s: s, dev: s.dev.View(clk), reserve: true}
 }
 
-// open starts a new container, allocating its ID (and, in reserve mode, its
-// device extent) under the store mutex.
+// open starts a new container, allocating its ID and device start (see
+// Store.openExtent).
 func (w *Writer) open() {
-	w.id = w.s.allocID()
-	if w.reserve {
-		w.start = w.dev.ReserveExtent(w.s.cfg.MetaCap() + w.s.cfg.DataCap)
-	} else {
-		w.start = w.dev.Size()
-	}
+	w.id, w.start = w.s.openExtent(w.reserve)
 	w.fill = 0
 	w.meta = w.meta[:0]
 	if w.s.StoresData() {
@@ -597,29 +660,19 @@ func (w *Writer) Write(ctx context.Context, c chunk.Chunk, segID uint64) (chunk.
 // Finish, which also drains the last persist.
 func (w *Writer) Flush(ctx context.Context) error {
 	if !w.hasOpen || len(w.meta) == 0 {
-		w.hasOpen = false
+		w.abandon()
 		return nil
 	}
 	if err := w.waitSeal(); err != nil {
-		w.hasOpen = false
+		w.abandon()
 		return err
 	}
 	t0 := time.Now()
 	var end int64
 	if w.reserve {
-		// Seal in place inside the reserved extent: metadata section padded
-		// to fixed capacity, then the data section, one contiguous write run.
-		w.dev.AccountWrite(w.start, w.s.cfg.MetaCap())
-		w.dev.AccountWrite(w.start+w.s.cfg.MetaCap(), w.fill)
-		end = w.start + w.s.cfg.MetaCap() + w.s.cfg.DataCap
+		end = w.s.sealInPlace(w.dev, w.start, w.fill)
 	} else {
-		if got := w.dev.Size(); got != w.start {
-			panic(fmt.Sprintf("container: device frontier %d moved past container start %d (foreign writer?)", got, w.start))
-		}
-		// Metadata section, padded to fixed capacity so data offsets hold.
-		w.dev.AppendHole(w.s.cfg.MetaCap())
-		w.dev.AppendHole(w.fill)
-		end = w.start + w.s.cfg.MetaCap() + w.fill
+		end = w.s.sealFrontier(w.start, w.fill)
 	}
 	info := Info{
 		ID:       w.id,
@@ -633,6 +686,14 @@ func (w *Writer) Flush(ctx context.Context) error {
 	w.sealCh = w.s.beginSeal(ctx, info, w.data)
 	w.data = nil // buffer now rides with the persist; open() falls back to spare
 	return nil
+}
+
+// abandon drops the writer's open container, if any, without sealing it.
+func (w *Writer) abandon() {
+	if w.hasOpen && !w.reserve {
+		w.s.closeFrontier()
+	}
+	w.hasOpen = false
 }
 
 // Finish seals the writer's open container and waits until every backend
@@ -670,13 +731,15 @@ func (s *Store) Flush(ctx context.Context) error {
 }
 
 // ReadMeta performs a metadata-section read of container id: it charges one
-// disk access of MetaCap bytes and returns the chunk descriptors. This is
-// the operation behind DDFS's locality-preserved-cache prefetch.
+// disk access covering the filled entries only (len(Entries) × 44 bytes;
+// the section's padding up to MetaCap is never read) and returns the chunk
+// descriptors. This is the operation behind DDFS's locality-preserved-cache
+// prefetch.
 func (s *Store) ReadMeta(id uint32) []Meta { return s.readMeta(s.dev, id) }
 
 func (s *Store) readMeta(dev *disk.Device, id uint32) []Meta {
 	info := s.info(id)
-	dev.AccountRead(info.Start, s.cfg.MetaCap())
+	dev.AccountRead(info.Start, int64(len(info.Entries))*metaEntrySize)
 	telMetaReads.Inc()
 	return info.Entries
 }

@@ -121,14 +121,31 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadMetaChargesDisk checks that a metadata prefetch charges one seek
+// plus the filled entries (entries × metaEntrySize bytes), not the padded
+// MetaCap section, and that PeekMeta is free.
 func TestReadMetaChargesDisk(t *testing.T) {
-	s, clk := newTestStore(t, false, smallConfig())
-	loc := mustWrite(s, chunk.Meta(chunk.Of([]byte("x")), 10), 0)
+	s, clk := newTestStore(t, false, DefaultConfig())
+	const entries = 3
+	var loc chunk.Location
+	for i := 0; i < entries; i++ {
+		loc = mustWrite(s, chunk.Meta(chunk.Of([]byte{byte(i)}), 1000), 0)
+	}
 	s.Flush(context.Background())
-	before := clk.Now()
-	s.ReadMeta(loc.Container)
-	if clk.Now() <= before {
-		t.Fatal("ReadMeta must charge disk time")
+	stats, before := s.Device().Stats(), clk.Now()
+	if got := len(s.ReadMeta(loc.Container)); got != entries {
+		t.Fatalf("ReadMeta returned %d entries, want %d", got, entries)
+	}
+	after, want := s.Device().Stats(), int64(entries*metaEntrySize)
+	if d := after.BytesRead - stats.BytesRead; d != want {
+		t.Fatalf("ReadMeta read %d bytes, want %d (MetaCap is %d)", d, want, s.Config().MetaCap())
+	}
+	if after.Seeks-stats.Seeks != 1 || after.Reads-stats.Reads != 1 {
+		t.Fatalf("ReadMeta: %d seeks, %d reads; want one of each", after.Seeks-stats.Seeks, after.Reads-stats.Reads)
+	}
+	model := s.Device().Model()
+	if d := clk.Now() - before; d != model.Seek+model.ReadTime(want) {
+		t.Fatalf("ReadMeta charged %v, want %v", d, model.Seek+model.ReadTime(want))
 	}
 	before = clk.Now()
 	s.PeekMeta(loc.Container)

@@ -270,18 +270,17 @@ func (e *Engine) backup(ctx context.Context, label string, r io.Reader, clk *dis
 		})
 	if err != nil {
 		// Leave the store consistent even on cancellation: seal the open
-		// container and flush the index outside the cancelled context, so
-		// everything already placed stays referenced (fsck-clean) and only
-		// this backup is lost.
-		if ferr := w.Finish(context.WithoutCancel(ctx)); ferr == nil {
-			sr.FlushIndex()
-		}
+		// container outside the cancelled context, so everything already
+		// placed (and indexed in RAM) stays referenced (fsck-clean) and only
+		// this backup is lost. The caller sees err, so a seal failure here
+		// is dropped. Buffered index inserts need no flush: they write back
+		// when a shard's buffer fills or at maintenance.
+		_ = w.Finish(context.WithoutCancel(ctx))
 		return nil, stats, err
 	}
 	if err := w.Finish(ctx); err != nil {
 		return nil, stats, err
 	}
-	sr.FlushIndex()
 
 	stats.LogicalBytes = logical
 	stats.Chunks = chunks

@@ -186,7 +186,7 @@ func TestPipelineBadParams(t *testing.T) {
 
 // --- Resolver ---
 
-func newResolverRig(t *testing.T) (*Resolver, *container.Store, *disk.Clock) {
+func newResolverRig(t *testing.T) (*StreamResolver, *container.Store, *disk.Clock) {
 	t.Helper()
 	var clk disk.Clock
 	store, err := container.NewStore(disk.NewDevice(disk.DefaultModel(), &clk, false), container.DefaultConfig())
@@ -197,16 +197,23 @@ func newResolverRig(t *testing.T) (*Resolver, *container.Store, *disk.Clock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewResolver(ix, store, 4, 10000), store, &clk
+	return NewResolver(ix, store, 4, 10000).Stream(nil, store.SerialWriter()), store, &clk
 }
 
 func mkChunk(i byte) chunk.Chunk { return chunk.Meta(chunk.Of([]byte{i}), 100) }
 
+// resolveOne resolves c as a one-chunk batch: no lookahead partner, so the
+// outcome and charges are those of plain per-chunk resolution.
+func resolveOne(sr *StreamResolver, c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
+	res := sr.ResolveBatch([]chunk.Chunk{c}, stats)[0]
+	return res.Loc, res.Dup
+}
+
 func TestResolverNewChunkIsFree(t *testing.T) {
-	r, _, clk := newResolverRig(t)
+	sr, _, clk := newResolverRig(t)
 	var stats BackupStats
 	before := clk.Now()
-	if _, dup := r.Resolve(mkChunk(1), &stats); dup {
+	if _, dup := resolveOne(sr, mkChunk(1), &stats); dup {
 		t.Fatal("unknown chunk must not be a duplicate")
 	}
 	if clk.Now() != before {
@@ -218,14 +225,14 @@ func TestResolverNewChunkIsFree(t *testing.T) {
 }
 
 func TestResolverDuplicatePath(t *testing.T) {
-	r, store, _ := newResolverRig(t)
+	sr, store, _ := newResolverRig(t)
 	var stats BackupStats
 	c := mkChunk(2)
 	loc := mustWrite(store, c, 7)
-	r.RegisterNew(c.FP, loc)
+	sr.RegisterNew(c.FP, loc)
 	store.Flush(context.Background())
 
-	got, dup := r.Resolve(c, &stats)
+	got, dup := resolveOne(sr, c, &stats)
 	if !dup || got != loc {
 		t.Fatalf("Resolve = %v,%v want %v,true", got, dup, loc)
 	}
@@ -233,28 +240,28 @@ func TestResolverDuplicatePath(t *testing.T) {
 		t.Fatalf("stats = %+v, want one lookup + one prefetch", stats)
 	}
 	// Second resolve: LPC hit, free.
-	_, dup = r.Resolve(c, &stats)
+	_, dup = resolveOne(sr, c, &stats)
 	if !dup || stats.CacheHits != 1 || stats.IndexLookups != 1 {
 		t.Fatalf("second resolve should be a cache hit: %+v", stats)
 	}
 }
 
 func TestResolverPrefetchCoversNeighbours(t *testing.T) {
-	r, store, _ := newResolverRig(t)
+	sr, store, _ := newResolverRig(t)
 	var stats BackupStats
 	// Write several chunks into the same container.
 	var cs []chunk.Chunk
 	for i := byte(10); i < 20; i++ {
 		c := mkChunk(i)
 		loc := mustWrite(store, c, 1)
-		r.RegisterNew(c.FP, loc)
+		sr.RegisterNew(c.FP, loc)
 		cs = append(cs, c)
 	}
 	store.Flush(context.Background())
 	// Resolving the first pays; the rest ride the prefetched metadata.
-	r.Resolve(cs[0], &stats)
+	resolveOne(sr, cs[0], &stats)
 	for _, c := range cs[1:] {
-		if _, dup := r.Resolve(c, &stats); !dup {
+		if _, dup := resolveOne(sr, c, &stats); !dup {
 			t.Fatal("neighbour must be duplicate")
 		}
 	}
@@ -267,19 +274,19 @@ func TestResolverPrefetchCoversNeighbours(t *testing.T) {
 }
 
 func TestResolverRepointWinsOverStaleMetadata(t *testing.T) {
-	r, store, _ := newResolverRig(t)
+	sr, store, _ := newResolverRig(t)
 	var stats BackupStats
 	c := mkChunk(30)
 	oldLoc := mustWrite(store, c, 1)
-	r.RegisterNew(c.FP, oldLoc)
+	sr.RegisterNew(c.FP, oldLoc)
 	store.Flush(context.Background())
 	// Cache the old container metadata.
-	r.Resolve(c, &stats)
+	resolveOne(sr, c, &stats)
 	// Rewrite the chunk elsewhere.
 	newLoc := mustWrite(store, c, 2)
-	r.Repoint(c.FP, newLoc)
+	sr.Repoint(c.FP, newLoc)
 	store.Flush(context.Background())
-	got, dup := r.Resolve(c, &stats)
+	got, dup := resolveOne(sr, c, &stats)
 	if !dup || got != newLoc {
 		t.Fatalf("Resolve after Repoint = %v, want the rewritten location %v", got, newLoc)
 	}

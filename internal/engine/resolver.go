@@ -91,60 +91,6 @@ func (r *Resolver) Stream(clk *disk.Clock, w *container.Writer) *StreamResolver 
 	return &StreamResolver{r: r, ih: r.index.Handle(clk), w: w}
 }
 
-// Resolve decides whether c is a duplicate, charging the costs of the DDFS
-// lookup path (free RAM checks; on LPC miss with positive summary vector,
-// one index page read; on index hit, one container-metadata prefetch). It
-// returns the stored location when c is a duplicate.
-func (r *Resolver) Resolve(c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
-	return r.resolve(c, stats, r.index.Handle(nil), r.store.ReadMeta)
-}
-
-// Resolve is Resolver.Resolve with costs charged to the stream.
-func (sr *StreamResolver) Resolve(c chunk.Chunk, stats *BackupStats) (chunk.Location, bool) {
-	return sr.r.resolve(c, stats, sr.ih, sr.w.ReadMeta)
-}
-
-func (r *Resolver) resolve(c chunk.Chunk, stats *BackupStats, ih cindex.Handle, readMeta func(uint32) []container.Meta) (chunk.Location, bool) {
-	defer stageLookup.Observe(time.Now())
-	r.mu.Lock()
-	// 0. Current-location table (RAM, free): chunks whose newest copy is a
-	// DeFrag rewrite resolve to the linearized placement, never a stale
-	// container-metadata entry.
-	if loc, ok := r.current[c.FP]; ok {
-		stats.CacheHits++
-		telResolverCacheHits.Inc()
-		r.mu.Unlock()
-		return loc, true
-	}
-	// 1. Locality-preserved cache (RAM, free).
-	if ent, ok := r.lpcFPs[c.FP]; ok {
-		stats.CacheHits++
-		telResolverCacheHits.Inc()
-		r.lpc.Get(ent.cid) // refresh recency of the containing container
-		r.mu.Unlock()
-		return ent.loc, true
-	}
-	r.mu.Unlock()
-	// 2. Summary vector (RAM, free, atomic). Negative → definitely new.
-	if !r.filter.MayContain(c.FP) {
-		telResolverBloomNeg.Inc()
-		return chunk.Location{}, false
-	}
-	// 3. Full index on disk (charged) — outside the resolver mutex so one
-	// stream's modeled page read never serializes the others' RAM hits.
-	stats.IndexLookups++
-	telResolverLookups.Inc()
-	loc, found := ih.Lookup(c.FP)
-	if !found {
-		return chunk.Location{}, false // Bloom false positive
-	}
-	// 4. Locality-preserved caching: prefetch the whole container's
-	// metadata (charged) so the duplicates that follow in the stream
-	// resolve from RAM.
-	r.prefetch(loc.Container, stats, readMeta)
-	return loc, true
-}
-
 // prefetch pulls a sealed, uncached container's metadata into the LPC. The
 // metadata read — the charged part — happens outside the resolver mutex;
 // the mutex only covers the cache probe and the insert. Two streams racing
@@ -175,29 +121,25 @@ type Resolution struct {
 	Dup bool
 }
 
-// ResolveBatch resolves a whole segment's chunks in order, with the same
-// decision sequence and counters as per-chunk Resolve, plus a same-bucket
-// lookahead: when a chunk must go to the on-disk index, every later chunk of
-// the batch that is also headed for the index and hashes to the same bucket
-// page is looked up in the same modeled page read. Costs are therefore never
-// higher than per-chunk resolution, and strictly lower whenever chunks of
-// one segment collide on index pages.
-func (r *Resolver) ResolveBatch(chunks []chunk.Chunk, stats *BackupStats) []Resolution {
-	return r.resolveBatch(chunks, stats, r.index.Handle(nil), r.store.ReadMeta)
-}
-
-// ResolveBatch is Resolver.ResolveBatch with costs charged to the stream.
+// ResolveBatch resolves a whole segment's chunks in order, charging the
+// costs of the DDFS lookup path to the stream. Each chunk is checked
+// against, in turn: the current-location table (RAM, free), the
+// locality-preserved cache (RAM, free), and the summary vector (RAM, free;
+// negative means definitely new). Only a chunk that passes all three costs
+// an index page read, and an index hit prefetches its container's metadata
+// (charged) so the duplicates that follow resolve from RAM. A same-bucket
+// lookahead batches the page reads: when a chunk must go to the on-disk
+// index, every later chunk of the batch that is also headed for the index
+// and hashes to the same bucket page is looked up in the same modeled page
+// read. A one-chunk batch is plain per-chunk resolution.
 func (sr *StreamResolver) ResolveBatch(chunks []chunk.Chunk, stats *BackupStats) []Resolution {
-	return sr.r.resolveBatch(chunks, stats, sr.ih, sr.w.ReadMeta)
-}
-
-func (r *Resolver) resolveBatch(chunks []chunk.Chunk, stats *BackupStats, ih cindex.Handle, readMeta func(uint32) []container.Meta) []Resolution {
 	defer stageLookup.Observe(time.Now())
+	r, ih := sr.r, sr.ih
 	out := make([]Resolution, len(chunks))
 	// memo holds index results fetched ahead of their turn by a same-bucket
 	// group lookup. Entries are only consulted if the chunk still needs the
 	// index when iteration reaches it (a prefetch in between may have made
-	// it a free LPC hit, exactly as in the per-chunk path).
+	// it a free LPC hit).
 	var memo map[int]cindex.Result
 	for i, c := range chunks {
 		// RAM checks and the (map-reading) lookahead scan run under a short
@@ -273,7 +215,7 @@ func (r *Resolver) resolveBatch(chunks []chunk.Chunk, stats *BackupStats, ih cin
 			continue // Bloom false positive → new
 		}
 		out[i] = Resolution{res.Loc, true}
-		r.prefetch(res.Loc.Container, stats, readMeta)
+		r.prefetch(res.Loc.Container, stats, sr.w.ReadMeta)
 	}
 	return out
 }
@@ -288,13 +230,8 @@ func (r *Resolver) insertLPC(cid uint32, metas []container.Meta) {
 	}
 }
 
-// RegisterNew records a newly written chunk in the index and summary vector.
-func (r *Resolver) RegisterNew(fp chunk.Fingerprint, loc chunk.Location) {
-	r.index.Insert(fp, loc)
-	r.filter.Add(fp)
-}
-
-// RegisterNew is Resolver.RegisterNew with index writes charged to the stream.
+// RegisterNew records a newly written chunk in the index and summary
+// vector, with index writes charged to the stream.
 func (sr *StreamResolver) RegisterNew(fp chunk.Fingerprint, loc chunk.Location) {
 	sr.ih.Insert(fp, loc)
 	sr.r.filter.Add(fp)
@@ -302,20 +239,12 @@ func (sr *StreamResolver) RegisterNew(fp chunk.Fingerprint, loc chunk.Location) 
 
 // Repoint updates the index to a chunk's newest copy (the DeFrag rewrite
 // path) so future generations dedupe against the linearized placement.
-func (r *Resolver) Repoint(fp chunk.Fingerprint, loc chunk.Location) {
-	r.repoint(r.index.Handle(nil), fp, loc)
-}
-
-// Repoint is Resolver.Repoint with index writes charged to the stream.
+// Index writes are charged to the stream.
 func (sr *StreamResolver) Repoint(fp chunk.Fingerprint, loc chunk.Location) {
-	sr.r.repoint(sr.ih, fp, loc)
-}
-
-func (r *Resolver) repoint(ih cindex.Handle, fp chunk.Fingerprint, loc chunk.Location) {
-	ih.Update(fp, loc)
-	r.mu.Lock()
-	r.current[fp] = loc
-	r.mu.Unlock()
+	sr.ih.Update(fp, loc)
+	sr.r.mu.Lock()
+	sr.r.current[fp] = loc
+	sr.r.mu.Unlock()
 }
 
 // AdoptIndex rebuilds the chunk index and summary vector from the container
@@ -366,12 +295,6 @@ func (r *Resolver) DropFromIndex(cid uint32) int {
 	r.mu.Unlock()
 	return dropped
 }
-
-// FlushIndex flushes buffered index writes (end of stream).
-func (r *Resolver) FlushIndex() { r.index.Flush() }
-
-// FlushIndex flushes buffered index writes, charged to the stream.
-func (sr *StreamResolver) FlushIndex() { sr.ih.Flush() }
 
 // Writer returns the container writer this stream resolver is bound to.
 func (sr *StreamResolver) Writer() *container.Writer { return sr.w }
